@@ -1,16 +1,19 @@
-//! Shared batching machinery for the engines' `apply_arrivals` paths: arrival
-//! grouping, the split-RNG seed derivation, and the candidate/reconcile plumbing the
-//! deterministic parallel reroute is built on.
+//! Batching machinery for the engine's update paths: pivot grouping, the split-RNG
+//! seed derivation, and the candidate/reconcile plumbing the deterministic parallel
+//! reroute is built on.
 //!
 //! # The deterministic repair pipeline
 //!
-//! Both engines process a batch of arrivals in three phases:
+//! The engine processes every batch — arrivals and deletions, PageRank and SALSA
+//! alike — in three phases:
 //!
-//! 1. **Candidate generation** (read-only, parallel): arrival groups are formed per
-//!    pivot node; for every group and every segment visiting its pivot, an independent
-//!    RNG stream — seeded from `(engine seed, batch index, pivot, segment)` via
-//!    `repair_seed` — flips the reroute coins over the segment's *pre-batch* path and,
-//!    on a hit, generates the candidate replacement path against the post-batch graph.
+//! 1. **Candidate generation** (read-only, parallel): update groups are formed per
+//!    pivot node and step direction; for every group and every segment visiting its
+//!    pivot, an independent RNG stream — seeded from `(engine seed, batch index, pivot,
+//!    segment, direction)` via `repair_seed` — flips the reroute coins over the
+//!    segment's *pre-batch* path (deletions need no coin: a segment repairs at its
+//!    earliest traversal of a vanished edge) and, on a hit, generates the candidate
+//!    replacement path against the post-batch graph.
 //!    Because every `(group, segment)` pair has its own stream and only reads immutable
 //!    state, candidates can be computed in any order, by any number of threads, split
 //!    any way across shards, with bit-identical results.
@@ -31,59 +34,94 @@
 //! their source node, [`ppr_store::WalkIndex::route_shards`] wide), which also keeps
 //! every worker's output deterministic in isolation.
 
-use ppr_graph::{Edge, NodeId};
+use ppr_graph::{DynamicGraph, Edge, NodeId};
 use ppr_store::{SegmentId, SocialStore, WalkIndex};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// One pivot node's share of a batch: the pivot, its relevant degree from *before* the
-/// batch, and the forced reroute targets its new edges contribute, in arrival order.
-pub(crate) type ArrivalGroup = (NodeId, usize, Vec<NodeId>);
+/// One pivot's share of an update batch: `forward` groups key on edge sources (the
+/// out-edge steps leaving the pivot changed), backward groups on edge targets (SALSA's
+/// in-edge steps).  For arrivals, `targets` are the new edges' far endpoints in
+/// arrival order and `prior_degree` is the pivot's degree in that direction before the
+/// batch; for deletions, `targets` are the sorted far endpoints whose last parallel
+/// copy vanished.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Group {
+    pub pivot: NodeId,
+    pub forward: bool,
+    pub prior_degree: usize,
+    pub targets: Vec<NodeId>,
+}
 
-/// Groups a batch of arrivals by pivot node in first-arrival order, capturing each
-/// pivot's pre-batch degree.
-///
-/// Must be called **before** any edge of the batch is inserted into `store`: the
-/// captured degree is the pivot's degree with no batch edge applied, which is what the
-/// `k/(d₀+k)` reservoir composition of the per-edge coins needs.  `key` maps an edge to
-/// `(pivot, forced_target)` — `(source, target)` for PageRank and SALSA's forward
-/// direction, `(target, source)` for SALSA's backward direction — and `degree` reads
-/// the pivot's relevant degree (out-degree for forward steps, in-degree for backward).
-pub(crate) fn group_arrivals(
-    store: &SocialStore,
-    edges: &[Edge],
-    key: impl Fn(Edge) -> (NodeId, NodeId),
-    degree: impl Fn(&SocialStore, NodeId) -> usize,
-) -> Vec<ArrivalGroup> {
-    let mut groups: Vec<ArrivalGroup> = Vec::new();
+/// Groups a batch per pivot node in first-occurrence order, keeping each pivot's far
+/// endpoints with multiplicity: sources are pivots for `forward` steps, targets for
+/// backward ones.
+fn group_by_pivot(edges: &[Edge], forward: bool) -> Vec<(NodeId, Vec<NodeId>)> {
+    let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
     let mut index: HashMap<NodeId, usize> = HashMap::new();
     for &edge in edges {
-        let (pivot, target) = key(edge);
+        let (pivot, far) = if forward {
+            (edge.source, edge.target)
+        } else {
+            (edge.target, edge.source)
+        };
         let slot = *index.entry(pivot).or_insert_with(|| {
-            groups.push((pivot, degree(store, pivot), Vec::new()));
+            groups.push((pivot, Vec::new()));
             groups.len() - 1
         });
-        groups[slot].2.push(target);
+        groups[slot].1.push(far);
     }
     groups
 }
 
-/// Groups a batch of *successfully removed* edges per source node in
-/// first-occurrence order.  Unlike arrivals, no pre-batch degree capture is needed:
-/// deletion rerouting is deterministic — a segment reroutes iff it traverses an edge
-/// that no longer exists after the batch — so a group only carries the pivot and its
-/// removed targets.
-pub(crate) fn group_deletions(edges: &[Edge]) -> Vec<(NodeId, Vec<NodeId>)> {
-    let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    let mut index: HashMap<NodeId, usize> = HashMap::new();
-    for &edge in edges {
-        let slot = *index.entry(edge.source).or_insert_with(|| {
-            groups.push((edge.source, Vec::new()));
-            groups.len() - 1
-        });
-        groups[slot].1.push(edge.target);
-    }
-    groups
+/// Groups a batch of arrivals per pivot, capturing each pivot's pre-batch degree in
+/// the step direction (out-degree for forward steps, in-degree for backward).
+///
+/// Must be called **before** any edge of the batch is inserted into `store`: the
+/// captured degree is the pivot's degree with no batch edge applied, which is what the
+/// `k/(d₀+k)` reservoir composition of the per-edge coins needs.
+pub(crate) fn group_arrivals(store: &SocialStore, edges: &[Edge], forward: bool) -> Vec<Group> {
+    group_by_pivot(edges, forward)
+        .into_iter()
+        .map(|(pivot, targets)| Group {
+            pivot,
+            forward,
+            prior_degree: if forward {
+                store.out_degree(pivot)
+            } else {
+                store.in_degree(pivot)
+            },
+            targets,
+        })
+        .collect()
+}
+
+/// Groups a batch of *successfully removed* edges per pivot, keeping only the far
+/// endpoints with no surviving parallel copy in `graph` (the post-batch graph) —
+/// while a copy exists, every traversal remains a legal step whose distribution the
+/// arrival-time reroutes already account for.  Deletion rerouting is deterministic, so
+/// no degree is captured.
+pub(crate) fn group_deletions(graph: &DynamicGraph, removed: &[Edge], forward: bool) -> Vec<Group> {
+    group_by_pivot(removed, forward)
+        .into_iter()
+        .map(|(pivot, far)| {
+            let mut targets: Vec<NodeId> = far
+                .into_iter()
+                .filter(|&t| {
+                    let (source, target) = if forward { (pivot, t) } else { (t, pivot) };
+                    !graph.has_edge(Edge { source, target })
+                })
+                .collect();
+            targets.sort_unstable();
+            targets.dedup();
+            Group {
+                pivot,
+                forward,
+                prior_degree: 0,
+                targets,
+            }
+        })
+        .collect()
 }
 
 /// Derives the RNG seed of one `(batch, pivot, segment)` repair stream.
@@ -347,17 +385,15 @@ mod tests {
             Edge::new(2, 3),
             Edge::new(0, 1),
         ];
-        let groups = group_arrivals(
-            &store,
-            &batch,
-            |e| (e.source, e.target),
-            |s, n| s.out_degree(n),
-        );
+        let groups: Vec<_> = group_arrivals(&store, &batch, true)
+            .into_iter()
+            .map(|g| (g.pivot, g.forward, g.prior_degree, g.targets))
+            .collect();
         assert_eq!(
             groups,
             vec![
-                (NodeId(2), 1, vec![NodeId(1), NodeId(3)]),
-                (NodeId(0), 0, vec![NodeId(3), NodeId(1)]),
+                (NodeId(2), true, 1, vec![NodeId(1), NodeId(3)]),
+                (NodeId(0), true, 0, vec![NodeId(3), NodeId(1)]),
             ]
         );
     }
@@ -366,13 +402,16 @@ mod tests {
     fn backward_key_groups_by_target_with_in_degrees() {
         let store = SocialStore::new(3, 1);
         let batch = [Edge::new(0, 2), Edge::new(1, 2)];
-        let groups = group_arrivals(
-            &store,
-            &batch,
-            |e| (e.target, e.source),
-            |s, n| s.in_degree(n),
+        let groups = group_arrivals(&store, &batch, false);
+        assert_eq!(
+            groups,
+            vec![Group {
+                pivot: NodeId(2),
+                forward: false,
+                prior_degree: 0,
+                targets: vec![NodeId(0), NodeId(1)],
+            }]
         );
-        assert_eq!(groups, vec![(NodeId(2), 0, vec![NodeId(0), NodeId(1)])]);
     }
 
     #[test]
@@ -443,7 +482,7 @@ mod tests {
             Edge::new(5, 1), // parallel deletion
             Edge::new(5, 2),
         ];
-        let groups = group_deletions(&batch);
+        let groups = group_by_pivot(&batch, true);
         assert_eq!(
             groups,
             vec![
@@ -451,7 +490,18 @@ mod tests {
                 (NodeId(0), vec![NodeId(3)]),
             ]
         );
-        assert!(group_deletions(&[]).is_empty());
+        assert!(group_by_pivot(&[], true).is_empty());
+        // Only far endpoints with no surviving parallel copy are repaired, once each;
+        // backward groups key on the target.
+        let mut graph = DynamicGraph::with_nodes(6);
+        graph.add_edge(Edge::new(5, 1)); // a surviving parallel copy of 5 -> 1
+        let gone = group_deletions(&graph, &batch, true);
+        assert_eq!(gone[0].targets, vec![NodeId(2)]);
+        assert_eq!(gone[1].targets, vec![NodeId(3)]);
+        let backward = group_deletions(&graph, &batch, false);
+        assert_eq!(backward[0].pivot, NodeId(1));
+        assert!(backward[0].targets.is_empty());
+        assert_eq!(backward[2].targets, vec![NodeId(5)]);
     }
 
     #[test]

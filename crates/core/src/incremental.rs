@@ -1,50 +1,60 @@
-//! Incremental maintenance of Monte Carlo PageRank under edge arrivals and deletions
-//! (Section 2.2: Proposition 2, Lemma 3, Theorem 4, Proposition 5).
+//! Incremental maintenance of Monte Carlo PageRank and SALSA under edge arrivals and
+//! deletions (Section 2.2: Proposition 2, Lemma 3, Theorem 4, Proposition 5; Section
+//! 2.3: Theorem 6).
 //!
-//! [`IncrementalPageRank`] owns the Social Store (the evolving graph) and the PageRank
-//! Store (the `R` walk segments per node).  When an edge `(u, v)` arrives:
+//! [`WalkEngine`] owns the Social Store (the evolving graph) and the PageRank Store
+//! (the walk segments of every node).  Its [`WalkKind`] parameter fixes the segment
+//! shape: [`IncrementalPageRank`] keeps `R` forward walk segments per node,
+//! [`crate::IncrementalSalsa`] keeps `2R` alternating forward/backward ones.  Theorem 6
+//! is the reason one engine serves both: SALSA maintenance is the PageRank machinery
+//! with backward steps, at a constant-factor overhead.  When an edge `(u, v)` arrives:
 //!
-//! * only segments that visit `u` can be affected — the store's visit postings find them
-//!   without scanning anything else;
-//! * each visit of such a segment to `u` would have taken the new edge with probability
-//!   `1/outdeg(u)`, so the segment is rerouted at its first visit for which an
+//! * only segments that visit `u` (and, for SALSA, `v`) can be affected — the store's
+//!   visit postings find them without scanning anything else;
+//! * each visit of such a segment to `u` that leaves through an out-edge would have
+//!   taken the new edge with probability `1/outdeg(u)` (for a SALSA backward step out
+//!   of `v`, `1/indeg(v)`), so the segment is rerouted at its first visit for which an
 //!   independent coin with that bias comes up heads;
 //! * a rerouted segment keeps its (still valid) prefix and regenerates the suffix —
 //!   or, under [`RerouteStrategy::FromSource`], is regenerated entirely — at an expected
 //!   cost of `O(1/ε)` walk steps.
 //!
 //! Deletions are symmetric: only segments that actually traverse the vanished edge are
-//! rerouted from the point of traversal.
+//! repaired, from their earliest traversal of it.  The surfer at that visit had already
+//! decided not to reset, so the repair re-samples the step uniformly among the
+//! surviving edges (ending the segment only if none survive) before the walk goes on.
 //!
 //! The engine is generic over the PageRank Store layout: any
 //! [`ppr_store::WalkIndexMut`] works, with the flat [`WalkStore`] as the default and
-//! the sharded [`ShardedWalkStore`] available through
-//! [`IncrementalPageRank::from_graph_sharded`].
+//! the sharded [`ShardedWalkStore`] available through [`WalkEngine::from_graph_sharded`].
 //!
-//! [`IncrementalPageRank::apply_arrivals`] processes a whole batch of arrivals at once,
-//! grouping the coin flips and index maintenance per source node: for a source gaining
+//! [`WalkEngine::apply_arrivals`] and [`WalkEngine::apply_deletions`] process a whole
+//! batch at once, grouping the coin flips and index maintenance per pivot node (the
+//! source of a forward step, the target of a SALSA backward step): for a pivot gaining
 //! `k` edges on top of `d₀` existing ones, every visit reroutes with probability
 //! `k/(d₀+k)` to a uniformly chosen new edge — exactly the distribution the `k`
 //! single-edge updates compose to (each per-edge coin `1/(d₀+i)` composes by the
 //! reservoir argument to `1/(d₀+k)` per new edge).  Repairs run as a deterministic
 //! three-phase pipeline (candidates → reconcile → apply, see [`crate::batch`]): every
-//! `(batch, source, segment)` repair draws from its own split RNG stream, so the result
-//! is **bit-identical for every shard count and thread count**, including the
-//! single-shard sequential engine — `tests/differential_shard.rs` holds the system to
-//! exactly that contract.  With a sharded store, phase 1 fans segment repairs out
+//! `(batch, pivot, segment, direction)` repair draws from its own split RNG stream, so
+//! the result is **bit-identical for every shard count and thread count**, including
+//! the single-shard sequential engine — `tests/differential_shard.rs` holds the system
+//! to exactly that contract.  With a sharded store, phase 1 fans segment repairs out
 //! across shards with `std::thread::scope`, and phase 3 applies the reconciled plan
-//! with one worker per shard.
+//! with one worker per shard.  Single-edge [`WalkEngine::add_edge`] and
+//! [`WalkEngine::remove_edge`] are batches of one.
 //!
 //! The engine keeps a [`WorkCounter`] so experiments can compare the measured update
 //! work against the `nR ln m / ε²` bound of Theorem 4 and the `nR/(m ε²)` deletion bound
 //! of Proposition 5.  The closed forms this engine instantiates are
 //! [`crate::bounds::per_arrival_update_work`] and [`crate::bounds::total_update_work`]
-//! (Theorem 4) for arrivals, and [`crate::bounds::deletion_update_work`]
-//! (Proposition 5) for deletions.
+//! (Theorem 4) for arrivals, [`crate::bounds::deletion_update_work`] (Proposition 5)
+//! for deletions, and [`crate::bounds::salsa_total_update_work`] (Theorem 6) for SALSA.
 
-use crate::batch::{self, BatchProfile, CandidateSet};
+use crate::batch::{self, BatchProfile, CandidateSet, Group};
 use crate::config::{MonteCarloConfig, RerouteStrategy};
 use crate::estimator::PageRankEstimates;
+use crate::kind::{PageRankWalk, WalkKind};
 use crate::personalized::PersonalizedWalker;
 use crate::walker;
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
@@ -54,9 +64,11 @@ use ppr_store::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::marker::PhantomData;
 
 /// Work performed while processing a single edge arrival or deletion (or a whole
-/// batch, when returned by [`IncrementalPageRank::apply_arrivals`]).
+/// batch, when returned by [`WalkEngine::apply_arrivals`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UpdateStats {
     /// Number of walk segments rerouted or rebuilt.
@@ -79,11 +91,15 @@ impl UpdateStats {
 
 /// Monte Carlo PageRank with incrementally maintained walk segments, generic over the
 /// PageRank Store layout (`W`).
+pub type IncrementalPageRank<W = WalkStore> = WalkEngine<PageRankWalk, W>;
+
+/// Monte Carlo PageRank or SALSA (the [`WalkKind`] `K`) with incrementally maintained
+/// walk segments, generic over the PageRank Store layout (`W`).
 ///
 /// Fields are `pub(crate)` so the durability layer ([`crate::durable`]) can snapshot
 /// and reassemble engines without widening the public API.
 #[derive(Debug)]
-pub struct IncrementalPageRank<W: WalkIndexMut = WalkStore> {
+pub struct WalkEngine<K: WalkKind, W: WalkIndexMut = WalkStore> {
     pub(crate) store: SocialStore,
     pub(crate) walks: W,
     pub(crate) config: MonteCarloConfig,
@@ -96,7 +112,7 @@ pub struct IncrementalPageRank<W: WalkIndexMut = WalkStore> {
     /// Index of the next batch (arrivals or deletions), mixed into every
     /// repair-stream seed.
     pub(crate) batch_index: u64,
-    /// Reusable path buffer for segment repairs.
+    /// Reusable path buffer for segment generation.
     pub(crate) scratch: Vec<NodeId>,
     /// Reusable phase-1 outputs, one per route shard.
     pub(crate) candidate_sets: Vec<CandidateSet>,
@@ -110,21 +126,22 @@ pub struct IncrementalPageRank<W: WalkIndexMut = WalkStore> {
     pub(crate) durability: Option<crate::durable::DurableLog>,
     /// Sequence number of the next WAL record (count of batches ever logged).
     pub(crate) wal_seq: u64,
+    pub(crate) kind: PhantomData<K>,
 }
 
-impl IncrementalPageRank {
-    /// Builds the engine over a graph or an existing Social Store, generating `R` walk
-    /// segments per node in a single-shard [`WalkStore`].  Pass the graph by value to
-    /// avoid copying it; `&DynamicGraph` is also accepted (and cloned) for callers that
-    /// keep theirs.
+impl<K: WalkKind> WalkEngine<K> {
+    /// Builds the engine over a graph or an existing Social Store, generating the walk
+    /// segments of every node in a single-shard [`WalkStore`].  Pass the graph by value
+    /// to avoid copying it; `&DynamicGraph` is also accepted (and cloned) for callers
+    /// that keep theirs.
     pub fn from_graph(graph: impl Into<SocialStore>, config: MonteCarloConfig) -> Self {
         Self::from_social_store(graph.into(), config)
     }
 
-    /// Builds the engine over an existing Social Store, generating `R` walk segments per
-    /// node.
+    /// Builds the engine over an existing Social Store, generating the walk segments of
+    /// every node.
     pub fn from_social_store(store: SocialStore, config: MonteCarloConfig) -> Self {
-        let walks = WalkStore::new(store.node_count(), config.r);
+        let walks = WalkStore::new(store.node_count(), K::SLOTS_PER_R * config.r);
         Self::with_store(store, walks, config, 1)
     }
 
@@ -134,9 +151,9 @@ impl IncrementalPageRank {
     }
 }
 
-impl IncrementalPageRank<ShardedWalkStore> {
+impl<K: WalkKind> WalkEngine<K, ShardedWalkStore> {
     /// Builds the engine over a [`ShardedWalkStore`] split `shards` ways, repairing
-    /// arrival batches with up to `threads` worker threads.  The Social Store is
+    /// update batches with up to `threads` worker threads.  The Social Store is
     /// re-sharded to the same shard count, so both stores place every node on the same
     /// shard (the shared [`ppr_store::routing::shard_of`] rule).
     ///
@@ -157,12 +174,12 @@ impl IncrementalPageRank<ShardedWalkStore> {
         } else {
             SocialStore::from_graph(store.into_graph(), shards)
         };
-        let walks = ShardedWalkStore::new(store.node_count(), config.r, shards);
+        let walks = ShardedWalkStore::new(store.node_count(), K::SLOTS_PER_R * config.r, shards);
         Self::with_store(store, walks, config, threads)
     }
 }
 
-impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
+impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     pub(crate) fn with_store(
         store: SocialStore,
         walks: W,
@@ -170,10 +187,25 @@ impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
         threads: usize,
     ) -> Self {
         let node_count = store.node_count();
-        let mut walks = walks;
+        let rng = SmallRng::seed_from_u64(config.seed.wrapping_add(K::RNG_SALT));
+        let mut engine = Self::assemble(store, walks, config, rng, threads);
+        for node in 0..node_count {
+            engine.generate_segments_for(NodeId::from_index(node));
+        }
+        engine
+    }
+
+    /// An engine over already-populated stores, with zeroed counters and no log
+    /// attached (construction and recovery both start here).
+    pub(crate) fn assemble(
+        store: SocialStore,
+        mut walks: W,
+        config: MonteCarloConfig,
+        rng: SmallRng,
+        threads: usize,
+    ) -> Self {
         walks.set_compaction_threshold(config.compaction_threshold);
-        let rng = SmallRng::seed_from_u64(config.seed);
-        let mut engine = IncrementalPageRank {
+        WalkEngine {
             store,
             walks,
             config,
@@ -189,24 +221,21 @@ impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
             profile: BatchProfile::default(),
             durability: None,
             wal_seq: 0,
-        };
-        for node in 0..node_count {
-            engine.generate_segments_for(NodeId::from_index(node));
+            kind: PhantomData,
         }
-        engine
     }
 
     /// Appends one batch to the attached write-ahead log (no-op for in-memory
     /// engines).  Called **before** the batch mutates any state, so an acknowledged
     /// batch is always recoverable.
-    pub(crate) fn log_wal(&mut self, op: ppr_persist::WalOp, edges: &[Edge]) {
+    fn log_wal(&mut self, op: ppr_persist::WalOp, edges: &[Edge]) {
         if let Some(log) = self.durability.as_mut() {
             log.append(self.wal_seq, op, edges);
             self.wal_seq += 1;
         }
     }
 
-    /// Accumulated wall-time breakdown of every arrival batch since construction (or
+    /// Accumulated wall-time breakdown of every update batch since construction (or
     /// the last [`Self::reset_batch_profile`]): total time plus per-shard times of the
     /// two parallelizable phases.  [`BatchProfile::critical_path`] turns it into the
     /// wall time a one-core-per-shard deployment would pay.
@@ -234,7 +263,8 @@ impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
         self.store.graph()
     }
 
-    /// The PageRank Store holding the walk segments.
+    /// The PageRank Store holding the walk segments (`R` per node for PageRank, `2R`
+    /// for SALSA).
     pub fn walk_store(&self) -> &W {
         &self.walks
     }
@@ -288,6 +318,284 @@ impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
         id
     }
 
+    /// Processes the arrival of `edge`, repairing every affected walk segment.
+    ///
+    /// A single arrival is exactly a batch of one: this delegates to
+    /// [`Self::apply_arrivals`], so the two paths are on identical RNG streams.
+    pub fn add_edge(&mut self, edge: Edge) -> UpdateStats {
+        self.apply_arrivals(std::slice::from_ref(&edge))
+    }
+
+    /// Processes a whole batch of edge arrivals, grouping the coin flips and the visit
+    /// index maintenance per pivot node.
+    ///
+    /// All edges are inserted into the Social Store first; then, for every pivot `u`
+    /// that gained `k` edges on top of `d₀` existing ones, the segments visiting `u` are
+    /// enumerated **once** and each eligible visit reroutes with probability `k/(d₀+k)`
+    /// to a uniformly chosen new edge — the exact composition of the `k` per-edge
+    /// `1/(d₀+i)` coins.  Suffixes are regenerated on the post-batch graph.  SALSA
+    /// forms forward groups per source and backward groups per target; a forward and a
+    /// backward group can claim the same segment at positions of opposite parity.
+    ///
+    /// Repairs run as the deterministic candidate → reconcile → apply pipeline of
+    /// [`crate::batch`]: each `(pivot, segment, direction)` repair draws from its own
+    /// split RNG stream, candidate generation fans out over the store's shards (up to
+    /// [`Self::threads`] workers), and when several groups claim the same segment the
+    /// smallest reroute position wins — under the default prefix-preserving reroute,
+    /// the same fixed point the sequential limit-tracking loop reaches (see
+    /// [`crate::batch`] for the [`RerouteStrategy::FromSource`] case) — so results
+    /// are bit-identical at any shard and thread count.
+    ///
+    /// Returns the aggregate statistics over the whole batch.
+    pub fn apply_arrivals(&mut self, edges: &[Edge]) -> UpdateStats {
+        self.rewrites.clear();
+        let Some(needed) = edges
+            .iter()
+            .map(|e| e.source.index().max(e.target.index()) + 1)
+            .max()
+        else {
+            return UpdateStats::default();
+        };
+        self.log_wal(ppr_persist::WalOp::Arrivals, edges);
+        let started = std::time::Instant::now();
+        let arena_before = self.walks.arena_stats();
+        self.ensure_nodes(needed);
+
+        // Group the batch per pivot in first-arrival order, capturing each pivot's
+        // degree from before the batch, then insert every edge.
+        let groups: Vec<Group> = K::DIRECTIONS
+            .iter()
+            .flat_map(|&forward| batch::group_arrivals(&self.store, edges, forward))
+            .collect();
+        for &edge in edges {
+            self.store.add_edge(edge);
+        }
+        self.work.edges_processed += edges.len() as u64;
+        self.repair(&groups, false, edges, started, arena_before)
+    }
+
+    /// Processes the deletion of `edge`, repairing every segment that traversed it.
+    /// Returns `None` if the edge was not present.
+    ///
+    /// A single deletion is exactly a batch of one: this delegates to
+    /// [`Self::apply_deletions`], so the two paths are on identical RNG streams.
+    pub fn remove_edge(&mut self, edge: Edge) -> Option<UpdateStats> {
+        if !self.store.graph().has_edge(edge) {
+            return None;
+        }
+        Some(self.apply_deletions(std::slice::from_ref(&edge)))
+    }
+
+    /// Processes a whole batch of edge deletions, grouping the repair work per pivot
+    /// node exactly as [`Self::apply_arrivals`] groups arrivals.
+    ///
+    /// All present edges are removed from the Social Store first; then, for every
+    /// pivot `u` that lost edges, the segments visiting `u` are enumerated **once** and
+    /// each segment's *earliest* traversal of a fully deleted edge (one with no
+    /// surviving parallel copy) in the group's direction is repaired: under the default
+    /// prefix-preserving strategy the still-valid prefix is kept, the step is
+    /// re-sampled among the surviving edges without a second reset coin, and the
+    /// suffix regenerates on the post-deletion graph.  Absent edges are skipped.
+    ///
+    /// Repairs run through the same deterministic candidate → reconcile → apply
+    /// pipeline as arrivals, with one split RNG stream per `(batch, pivot, segment,
+    /// direction)` repair; when several groups claim one segment, the smallest reroute
+    /// position wins — which is the segment's globally earliest invalidated traversal,
+    /// so the kept prefix never traverses a deleted edge.  Results are **bit-identical
+    /// at any shard and thread count**, which is what makes deletion batches WAL
+    /// records just like arrival batches (one record kind each).
+    pub fn apply_deletions(&mut self, edges: &[Edge]) -> UpdateStats {
+        self.rewrites.clear();
+        if edges.is_empty() {
+            return UpdateStats::default();
+        }
+        self.log_wal(ppr_persist::WalOp::Deletions, edges);
+        let started = std::time::Instant::now();
+        let arena_before = self.walks.arena_stats();
+
+        // Remove every present edge from the Social Store up front, so candidate
+        // generation sees the post-batch graph (as it does for arrivals).
+        let removed: Vec<Edge> = edges
+            .iter()
+            .copied()
+            .filter(|&edge| self.store.remove_edge(edge))
+            .collect();
+        self.work.edges_processed += removed.len() as u64;
+        if removed.is_empty() {
+            return UpdateStats::default();
+        }
+
+        // Group per pivot over the edges whose last parallel copy is gone.
+        let groups: Vec<Group> = K::DIRECTIONS
+            .iter()
+            .flat_map(|&forward| batch::group_deletions(self.store.graph(), &removed, forward))
+            .collect();
+        self.repair(&groups, true, &removed, started, arena_before)
+    }
+
+    /// Verifies that every stored segment is a valid walk of its kind in the *current*
+    /// graph: it starts at its source node and every consecutive pair of visits is an
+    /// existing edge, traversed forward or (for SALSA's backward steps) backward.  This
+    /// is the invariant incremental maintenance must preserve.
+    pub fn validate_segments(&self) -> Result<(), String> {
+        let graph = self.store.graph();
+        let r = self.config.r;
+        for node in graph.nodes() {
+            for id in self.walks.segment_ids_of(node) {
+                let path = self.walks.segment_path(id);
+                if path.is_empty() {
+                    return Err(format!("segment {id:?} of node {node} was never generated"));
+                }
+                if path.first() != Some(&node) {
+                    return Err(format!(
+                        "segment {id:?} starts at {:?}, expected {node}",
+                        path.first()
+                    ));
+                }
+                let slot = id.slot(self.walks.r());
+                for (pos, pair) in path.windows(2).enumerate() {
+                    let (source, target) = if K::forward_at(slot, r, pos) {
+                        (pair[0], pair[1])
+                    } else {
+                        (pair[1], pair[0])
+                    };
+                    let edge = Edge { source, target };
+                    if !graph.has_edge(edge) {
+                        return Err(format!(
+                            "segment {id:?} traverses missing edge {edge} at position {pos}"
+                        ));
+                    }
+                }
+            }
+        }
+        self.walks.check_consistency()
+    }
+
+    // ----- internal helpers -------------------------------------------------------
+
+    /// Runs the candidate → reconcile → apply pipeline for one update batch whose
+    /// graph change is already applied, then charges the work.  An edge of `edges`
+    /// counts as filtered when no group keyed by one of its endpoints disturbed any
+    /// segment.
+    fn repair(
+        &mut self,
+        groups: &[Group],
+        deletion: bool,
+        edges: &[Edge],
+        started: std::time::Instant,
+        arena_before: ppr_store::ArenaStats,
+    ) -> UpdateStats {
+        let batch_index = self.batch_index;
+        self.batch_index += 1;
+        let threads = self.threads;
+
+        // Phase 1: candidate generation, read-only against the pre-batch walk store
+        // and the post-batch graph, partitioned by the shard owning each segment.
+        let mut sets = std::mem::take(&mut self.candidate_sets);
+        let mut phase1_times = std::mem::take(&mut self.phase1_times);
+        {
+            let graph = self.store.graph();
+            let walks = &self.walks;
+            let config = &self.config;
+            let shards = walks.route_shards();
+            let slots = walks.r();
+            batch::fan_out_candidates(walks, threads, &mut sets, &mut phase1_times, |sid, set| {
+                let mut scratch = std::mem::take(&mut set.scratch);
+                for (gi, group) in groups.iter().enumerate() {
+                    if group.targets.is_empty() {
+                        continue;
+                    }
+                    for (id, _) in walks.segments_visiting(group.pivot) {
+                        if shards > 1 && (id.index() / slots) % shards != sid {
+                            continue;
+                        }
+                        if let Some((pos, steps)) = repair_candidate::<K, W>(
+                            graph,
+                            walks,
+                            config,
+                            batch_index,
+                            group,
+                            deletion,
+                            id,
+                            &mut scratch,
+                        ) {
+                            set.push(id, pos, gi, steps, &scratch);
+                        }
+                    }
+                }
+                set.scratch = scratch;
+            });
+        }
+
+        // Phase 2: reconcile conflicting claims (smallest reroute position wins) into
+        // a rewrite plan ordered by segment id.
+        let winners = batch::reconcile_candidates(&sets);
+        let mut rewrites = std::mem::take(&mut self.rewrites);
+        rewrites.clear();
+        let mut stats = UpdateStats::default();
+        let mut touched: HashSet<(NodeId, bool)> = HashSet::new();
+        for &(si, ci) in &winners {
+            let cand = &sets[si].candidates[ci];
+            rewrites.push(cand.seg, sets[si].path(cand));
+            stats.record_segment(cand.steps);
+            let group = &groups[cand.group as usize];
+            touched.insert((group.pivot, group.forward));
+        }
+
+        // Phase 3: the store applies the plan (parallel per shard when it can).
+        self.walks.apply_rewrites(&rewrites, threads);
+        self.profile.record(
+            started.elapsed(),
+            &phase1_times,
+            self.walks.last_apply_shard_times(),
+        );
+        self.profile
+            .record_compactions(&arena_before, &self.walks.arena_stats());
+        self.candidate_sets = sets;
+        self.phase1_times = phase1_times;
+        self.rewrites = rewrites;
+
+        self.work.arrivals_filtered += edges
+            .iter()
+            .filter(|e| {
+                !touched.contains(&(e.source, true)) && !touched.contains(&(e.target, false))
+            })
+            .count() as u64;
+        self.work.segments_updated += stats.segments_updated;
+        self.work.walk_steps += stats.walk_steps;
+        stats
+    }
+
+    fn ensure_nodes(&mut self, n: usize) {
+        let before = self.store.node_count();
+        if n <= before {
+            return;
+        }
+        self.store.ensure_nodes(n);
+        self.walks.ensure_nodes(n);
+        for node in before..n {
+            self.generate_segments_for(NodeId::from_index(node));
+        }
+    }
+
+    fn generate_segments_for(&mut self, node: NodeId) {
+        let slots = K::SLOTS_PER_R * self.config.r;
+        for slot in 0..slots {
+            let id = SegmentId::new(node, slot, slots);
+            self.initialization_steps += generate_segment::<K>(
+                self.store.graph(),
+                &self.config,
+                node,
+                slot,
+                &mut self.rng,
+                &mut self.scratch,
+            );
+            self.walks.set_segment(id, &self.scratch);
+        }
+    }
+}
+
+impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
     /// Current PageRank estimates.
     pub fn estimates(&self) -> PageRankEstimates {
         PageRankEstimates::from_store(&self.walks, self.config.epsilon)
@@ -319,507 +627,149 @@ impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
     ) -> Vec<(NodeId, f64)> {
         let walker = PersonalizedWalker::new(&self.store, &self.walks, self.config.epsilon, 0);
         let result = walker.walk_query(seed, walk_length, self.config.seed, seed.0 as u64);
-        let mut exclude: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+        let mut exclude: HashSet<NodeId> = HashSet::new();
         exclude.insert(seed);
         exclude.extend(self.store.graph().out_neighbors(seed).iter().copied());
         result.top_k(k, &exclude)
     }
-
-    /// Processes the arrival of `edge`, repairing every affected walk segment.
-    ///
-    /// A single arrival is exactly a batch of one: this delegates to
-    /// [`Self::apply_arrivals`], so the two paths are on identical RNG streams.
-    pub fn add_edge(&mut self, edge: Edge) -> UpdateStats {
-        self.apply_arrivals(std::slice::from_ref(&edge))
-    }
-
-    /// Processes a whole batch of edge arrivals, grouping the coin flips and the visit
-    /// index maintenance per source node.
-    ///
-    /// All edges are inserted into the Social Store first; then, for every source `u`
-    /// that gained `k` edges on top of `d₀` existing ones, the segments visiting `u` are
-    /// enumerated **once** and each eligible visit reroutes with probability `k/(d₀+k)`
-    /// to a uniformly chosen new edge — the exact composition of the `k` per-edge
-    /// `1/(d₀+i)` coins.  Suffixes are regenerated on the post-batch graph.
-    ///
-    /// Repairs run as the deterministic candidate → reconcile → apply pipeline of
-    /// [`crate::batch`]: each `(source, segment)` repair draws from its own split RNG
-    /// stream, candidate generation fans out over the store's shards (up to
-    /// [`Self::threads`] workers), and when several sources claim the same segment the
-    /// smallest reroute position wins — under the default prefix-preserving reroute,
-    /// the same fixed point the sequential limit-tracking loop reaches (see
-    /// [`crate::batch`] for the [`RerouteStrategy::FromSource`] case) — so results
-    /// are bit-identical at any shard and thread count.
-    ///
-    /// Returns the aggregate statistics over the whole batch.
-    pub fn apply_arrivals(&mut self, edges: &[Edge]) -> UpdateStats {
-        self.rewrites.clear();
-        let mut stats = UpdateStats::default();
-        let Some(needed) = edges
-            .iter()
-            .map(|e| e.source.index().max(e.target.index()) + 1)
-            .max()
-        else {
-            return stats;
-        };
-        self.log_wal(ppr_persist::WalOp::Arrivals, edges);
-        let batch_started = std::time::Instant::now();
-        let arena_before = self.walks.arena_stats();
-        self.ensure_nodes(needed);
-
-        // Group targets per source in first-arrival order, capturing each source's
-        // out-degree from before the batch, then insert every edge.
-        let groups = batch::group_arrivals(
-            &self.store,
-            edges,
-            |e| (e.source, e.target),
-            |s, n| s.out_degree(n),
-        );
-        for &edge in edges {
-            self.store.add_edge(edge);
-        }
-        let batch_index = self.batch_index;
-        self.batch_index += 1;
-        let threads = self.threads;
-
-        // Phase 1: candidate generation, read-only against the pre-batch walk store
-        // and the post-batch graph, partitioned by the shard owning each segment.
-        let mut sets = std::mem::take(&mut self.candidate_sets);
-        let mut phase1_times = std::mem::take(&mut self.phase1_times);
-        {
-            let graph = self.store.graph();
-            let walks = &self.walks;
-            let config = &self.config;
-            let groups = &groups;
-            let shards = walks.route_shards();
-            let r = walks.r();
-            batch::fan_out_candidates(walks, threads, &mut sets, &mut phase1_times, |sid, set| {
-                let mut scratch = std::mem::take(&mut set.scratch);
-                for (gi, (u, prior_degree, targets)) in groups.iter().enumerate() {
-                    for (id, _) in walks.segments_visiting(*u) {
-                        if shards > 1 && (id.index() / r) % shards != sid {
-                            continue;
-                        }
-                        if let Some((pos, steps)) = pagerank_candidate(
-                            graph,
-                            walks,
-                            config,
-                            batch_index,
-                            *u,
-                            *prior_degree,
-                            targets,
-                            id,
-                            &mut scratch,
-                        ) {
-                            set.push(id, pos, gi, steps, &scratch);
-                        }
-                    }
-                }
-                set.scratch = scratch;
-            });
-        }
-
-        // Phase 2: reconcile conflicting claims (smallest reroute position wins) into
-        // a rewrite plan ordered by segment id.
-        let winners = batch::reconcile_candidates(&sets);
-        let mut rewrites = std::mem::take(&mut self.rewrites);
-        rewrites.clear();
-        let mut touched = vec![false; groups.len()];
-        for &(si, ci) in &winners {
-            let cand = &sets[si].candidates[ci];
-            rewrites.push(cand.seg, sets[si].path(cand));
-            stats.record_segment(cand.steps);
-            touched[cand.group as usize] = true;
-        }
-
-        // Phase 3: the store applies the plan (parallel per shard when it can).
-        self.walks.apply_rewrites(&rewrites, threads);
-        self.profile.record(
-            batch_started.elapsed(),
-            &phase1_times,
-            self.walks.last_apply_shard_times(),
-        );
-        self.profile
-            .record_compactions(&arena_before, &self.walks.arena_stats());
-        self.candidate_sets = sets;
-        self.phase1_times = phase1_times;
-        self.rewrites = rewrites;
-
-        for (gi, (_, _, targets)) in groups.iter().enumerate() {
-            if !touched[gi] {
-                self.work.arrivals_filtered += targets.len() as u64;
-            }
-        }
-        self.work.edges_processed += edges.len() as u64;
-        self.work.segments_updated += stats.segments_updated;
-        self.work.walk_steps += stats.walk_steps;
-        stats
-    }
-
-    /// Processes the deletion of `edge`, repairing every segment that traversed it.
-    /// Returns `None` if the edge was not present.
-    ///
-    /// A single deletion is exactly a batch of one: this delegates to
-    /// [`Self::apply_deletions`], so the two paths are on identical RNG streams.
-    pub fn remove_edge(&mut self, edge: Edge) -> Option<UpdateStats> {
-        if !self.store.graph().has_edge(edge) {
-            return None;
-        }
-        Some(self.apply_deletions(std::slice::from_ref(&edge)))
-    }
-
-    /// Processes a whole batch of edge deletions, grouping the repair work per source
-    /// node exactly as [`Self::apply_arrivals`] groups arrivals.
-    ///
-    /// All present edges are removed from the Social Store first; then, for every
-    /// source `u` that lost edges, the segments visiting `u` are enumerated **once**
-    /// and each segment's *earliest* traversal of a fully deleted edge (one with no
-    /// surviving parallel copy) is repaired: under the default prefix-preserving
-    /// strategy the still-valid prefix is kept and the suffix regenerates on the
-    /// post-deletion graph.  Absent edges are skipped.
-    ///
-    /// Repairs run through the same deterministic candidate → reconcile → apply
-    /// pipeline as arrivals, with one split RNG stream per `(batch, source, segment)`
-    /// repair; when several sources claim one segment, the smallest reroute position
-    /// wins — which is the segment's globally earliest invalidated traversal, so the
-    /// kept prefix never traverses a deleted edge.  Results are **bit-identical at
-    /// any shard and thread count**, which is what makes deletion batches WAL
-    /// records just like arrival batches (one record kind each).
-    pub fn apply_deletions(&mut self, edges: &[Edge]) -> UpdateStats {
-        self.rewrites.clear();
-        let mut stats = UpdateStats::default();
-        if edges.is_empty() {
-            return stats;
-        }
-        self.log_wal(ppr_persist::WalOp::Deletions, edges);
-        let batch_started = std::time::Instant::now();
-        let arena_before = self.walks.arena_stats();
-
-        // Remove every present edge from the Social Store up front, so candidate
-        // generation sees the post-batch graph (as it does for arrivals).
-        let mut removed: Vec<Edge> = Vec::with_capacity(edges.len());
-        for &edge in edges {
-            if self.store.remove_edge(edge) {
-                removed.push(edge);
-            }
-        }
-        self.work.edges_processed += removed.len() as u64;
-        if removed.is_empty() {
-            return stats;
-        }
-
-        // Group per source; a group reroutes only over targets with no surviving
-        // parallel copy — while a copy exists, every traversal remains a legal step
-        // whose distribution the arrival-time reroutes already account for.
-        let groups: Vec<(NodeId, Vec<NodeId>)> = batch::group_deletions(&removed)
-            .into_iter()
-            .map(|(u, targets)| {
-                let mut gone: Vec<NodeId> = targets
-                    .into_iter()
-                    .filter(|&t| {
-                        !self.store.graph().has_edge(Edge {
-                            source: u,
-                            target: t,
-                        })
-                    })
-                    .collect();
-                gone.sort_unstable();
-                gone.dedup();
-                (u, gone)
-            })
-            .collect();
-        let batch_index = self.batch_index;
-        self.batch_index += 1;
-        let threads = self.threads;
-
-        // Phase 1: per group, find each visiting segment's earliest invalidated
-        // traversal and draw its replacement suffix from the repair's own stream.
-        let mut sets = std::mem::take(&mut self.candidate_sets);
-        let mut phase1_times = std::mem::take(&mut self.phase1_times);
-        {
-            let graph = self.store.graph();
-            let walks = &self.walks;
-            let config = &self.config;
-            let groups = &groups;
-            let shards = walks.route_shards();
-            let r = walks.r();
-            batch::fan_out_candidates(walks, threads, &mut sets, &mut phase1_times, |sid, set| {
-                let mut scratch = std::mem::take(&mut set.scratch);
-                for (gi, (u, gone)) in groups.iter().enumerate() {
-                    if gone.is_empty() {
-                        continue;
-                    }
-                    for (id, _) in walks.segments_visiting(*u) {
-                        if shards > 1 && (id.index() / r) % shards != sid {
-                            continue;
-                        }
-                        if let Some((pos, steps)) = deletion_candidate(
-                            graph,
-                            walks,
-                            config,
-                            batch_index,
-                            *u,
-                            gone,
-                            id,
-                            &mut scratch,
-                        ) {
-                            set.push(id, pos, gi, steps, &scratch);
-                        }
-                    }
-                }
-                set.scratch = scratch;
-            });
-        }
-
-        // Phase 2: reconcile.  The winner's position is the minimum over per-group
-        // first hits, i.e. the segment's globally earliest invalidated traversal, so
-        // its kept prefix is valid on the post-deletion graph.
-        let winners = batch::reconcile_candidates(&sets);
-        let mut rewrites = std::mem::take(&mut self.rewrites);
-        rewrites.clear();
-        let mut touched = vec![false; groups.len()];
-        for &(si, ci) in &winners {
-            let cand = &sets[si].candidates[ci];
-            rewrites.push(cand.seg, sets[si].path(cand));
-            stats.record_segment(cand.steps);
-            touched[cand.group as usize] = true;
-        }
-
-        // Phase 3: the store applies the plan.
-        self.walks.apply_rewrites(&rewrites, threads);
-        self.profile.record(
-            batch_started.elapsed(),
-            &phase1_times,
-            self.walks.last_apply_shard_times(),
-        );
-        self.profile
-            .record_compactions(&arena_before, &self.walks.arena_stats());
-        self.candidate_sets = sets;
-        self.phase1_times = phase1_times;
-        self.rewrites = rewrites;
-
-        for (gi, (u, _)) in groups.iter().enumerate() {
-            if !touched[gi] {
-                self.work.arrivals_filtered +=
-                    removed.iter().filter(|e| e.source == *u).count() as u64;
-            }
-        }
-        self.work.segments_updated += stats.segments_updated;
-        self.work.walk_steps += stats.walk_steps;
-        stats
-    }
-
-    /// Verifies that every stored segment is a valid walk in the *current* graph: it
-    /// starts at its source node and every consecutive pair of visits is an existing
-    /// edge.  This is the invariant incremental maintenance must preserve.
-    pub fn validate_segments(&self) -> Result<(), String> {
-        let graph = self.store.graph();
-        for node in graph.nodes() {
-            for id in self.walks.segment_ids_of(node) {
-                let path = self.walks.segment_path(id);
-                if path.is_empty() {
-                    return Err(format!("segment {id:?} of node {node} was never generated"));
-                }
-                if path.first() != Some(&node) {
-                    return Err(format!(
-                        "segment {id:?} starts at {:?}, expected {node}",
-                        path.first()
-                    ));
-                }
-                for pair in path.windows(2) {
-                    let edge = Edge {
-                        source: pair[0],
-                        target: pair[1],
-                    };
-                    if !graph.has_edge(edge) {
-                        return Err(format!("segment {id:?} traverses missing edge {edge}"));
-                    }
-                }
-            }
-        }
-        self.walks.check_consistency()
-    }
-
-    // ----- internal helpers -------------------------------------------------------
-
-    fn ensure_nodes(&mut self, n: usize) {
-        let before = self.store.node_count();
-        if n <= before {
-            return;
-        }
-        self.store.ensure_nodes(n);
-        self.walks.ensure_nodes(n);
-        for node in before..n {
-            self.generate_segments_for(NodeId::from_index(node));
-        }
-    }
-
-    fn generate_segments_for(&mut self, node: NodeId) {
-        for slot in 0..self.config.r {
-            let id = SegmentId::new(node, slot, self.config.r);
-            let steps = walker::pagerank_segment_into(
-                self.store.graph(),
-                node,
-                self.config.epsilon,
-                self.config.max_segment_length,
-                &mut self.rng,
-                &mut self.scratch,
-            );
-            self.initialization_steps += steps;
-            self.walks.set_segment(id, &self.scratch);
-        }
-    }
 }
 
-/// Decides whether (and where) segment `id` must be repaired for the deletion group
-/// of source `u`, whose fully deleted targets are `gone` (sorted).  Unlike arrivals,
-/// detection is deterministic: the segment repairs iff it traverses `u -> t` for some
-/// `t ∈ gone`, at its earliest such position.  On a hit, generates the replacement
-/// path into `scratch` against the post-deletion graph, drawing from the repair's own
-/// split RNG stream, and returns `(reroute position, walk steps)`.
-///
-/// Reads only the segment's pre-batch path; when several groups claim one segment,
-/// reconciliation keeps the smallest position — the globally earliest invalidated
-/// traversal — whose kept prefix therefore contains no deleted edge.
-#[allow(clippy::too_many_arguments)]
-fn deletion_candidate<W: WalkIndex>(
+/// Generates the segment stored in `slot` of `node` into `buf` (cleared first) and
+/// returns the number of steps taken.
+fn generate_segment<K: WalkKind>(
     graph: &DynamicGraph,
-    walks: &W,
     config: &MonteCarloConfig,
-    batch_index: u64,
-    u: NodeId,
-    gone: &[NodeId],
-    id: SegmentId,
-    scratch: &mut Vec<NodeId>,
-) -> Option<(usize, u64)> {
-    let path = walks.segment_path(id);
-    let pos = path
-        .windows(2)
-        .position(|w| w[0] == u && gone.binary_search(&w[1]).is_ok())?;
-    let mut rng =
-        SmallRng::seed_from_u64(batch::repair_seed(config.seed, batch_index, u, id, false));
-    let steps = match config.reroute {
-        RerouteStrategy::FromUpdatePoint => {
-            scratch.clear();
-            scratch.extend_from_slice(&path[..=pos]);
-            walker::extend_pagerank_walk(
-                graph,
-                scratch,
-                config.epsilon,
-                config.max_segment_length,
-                &mut rng,
-            )
-        }
-        RerouteStrategy::FromSource => walker::pagerank_segment_into(
-            graph,
-            walks.source_of(id),
-            config.epsilon,
-            config.max_segment_length,
-            &mut rng,
-            scratch,
-        ),
-    };
-    Some((pos, steps))
+    node: NodeId,
+    slot: usize,
+    rng: &mut SmallRng,
+    buf: &mut Vec<NodeId>,
+) -> u64 {
+    buf.clear();
+    buf.push(node);
+    K::extend(
+        graph,
+        buf,
+        K::forward_at(slot, config.r, 0),
+        config.epsilon,
+        config.max_segment_length,
+        rng,
+    )
 }
 
-/// Decides whether (and where) segment `id` reroutes for a group of `targets.len()`
-/// new edges out of `u` (on top of `prior_degree` pre-batch ones), drawing from the
-/// repair's own split RNG stream.  On a hit, generates the full replacement path into
-/// `scratch` against the post-batch graph and returns `(reroute position, walk steps)`.
+/// Decides whether (and where) segment `id` must be repaired for `group`, drawing from
+/// the repair's own split RNG stream.  On a hit, generates the full replacement path
+/// into `scratch` against the post-batch graph and returns `(reroute position, walk
+/// steps)`.  Only visits to the pivot whose outgoing step has the group's direction
+/// are eligible.
+///
+/// * **Arrivals:** at an interior visit the surfer took one of the `d₀ + k`
+///   now-existing edges uniformly, so it lands on a new one with probability
+///   `k/(d₀+k)` (the reservoir composition of the `k` per-edge `1/(d₀+i)` coins), each
+///   new edge being equally likely.  A segment that ended at a pivot with no edge in
+///   the group's direction (`d₀ = 0`) would now continue: with probability `1 − ε`
+///   before a forward step, always before a backward one.  A final visit to a pivot
+///   that had such edges ended with an ε-reset, which new edges do not affect.
+/// * **Deletions:** detection is deterministic — the segment repairs at its earliest
+///   traversal of a vanished edge.  The surfer there had already decided not to
+///   reset, so the step is re-sampled uniformly among the surviving edges, and the
+///   segment ends there only if none survive.
 ///
 /// Reads only the segment's pre-batch path.  Under
 /// [`RerouteStrategy::FromUpdatePoint`] this is sound because a reroute by another
 /// group only changes the path *after* its own reroute position, and reconciliation
 /// keeps the smallest position — coins flipped on stale suffix positions can only
-/// produce candidates that lose, never a wrong winner.  Under
-/// [`RerouteStrategy::FromSource`] the winning group differs from the old sequential
-/// first-group-wins rule, but any winner regenerates the whole segment as a fresh
-/// from-source walk on the post-batch graph, and the segment regenerates iff any
-/// group's coin hits under both rules — so the choice of winner only selects which RNG
-/// stream draws the (identically distributed) replacement.
+/// produce candidates that lose, never a wrong winner; for deletions the smallest
+/// position is the globally earliest invalidated traversal, so the kept prefix holds
+/// no deleted edge.  Under [`RerouteStrategy::FromSource`] the winning group differs
+/// from the old sequential first-group-wins rule, but any winner regenerates the whole
+/// segment as a fresh from-source walk on the post-batch graph, and the segment
+/// regenerates iff any group's coin hits under both rules — so the choice of winner
+/// only selects which RNG stream draws the (identically distributed) replacement.
 ///
 /// A candidate that later loses reconciliation wastes its generated walk (rare:
 /// several pivots of one batch must hit the same segment); only applied repairs are
 /// charged to [`UpdateStats`]/[`WorkCounter`], so `walk_steps` counts the work the
 /// store actually absorbed.
 #[allow(clippy::too_many_arguments)]
-fn pagerank_candidate<W: WalkIndex>(
+fn repair_candidate<K: WalkKind, W: WalkIndex>(
     graph: &DynamicGraph,
     walks: &W,
     config: &MonteCarloConfig,
     batch_index: u64,
-    u: NodeId,
-    prior_degree: usize,
-    targets: &[NodeId],
+    group: &Group,
+    deletion: bool,
     id: SegmentId,
     scratch: &mut Vec<NodeId>,
 ) -> Option<(usize, u64)> {
     let path = walks.segment_path(id);
-    if path.is_empty() {
-        return None;
-    }
-    let k = targets.len();
-    let last_index = path.len() - 1;
-    let mut rng =
-        SmallRng::seed_from_u64(batch::repair_seed(config.seed, batch_index, u, id, false));
+    let slot = id.slot(walks.r());
+    let mut visits = path.iter().enumerate().filter(|&(pos, &visit)| {
+        visit == group.pivot && K::forward_at(slot, config.r, pos) == group.forward
+    });
+    let mut rng = SmallRng::seed_from_u64(batch::repair_seed(
+        config.seed,
+        batch_index,
+        group.pivot,
+        id,
+        !group.forward,
+    ));
 
-    // Decide where (if anywhere) the segment must be rerouted.
-    let mut reroute_at: Option<(usize, NodeId)> = None;
-    for (pos, &visit) in path.iter().enumerate() {
-        if visit != u {
-            continue;
-        }
-        if pos < last_index {
-            // At an interior visit the surfer took one of the `prior_degree + k`
-            // now-existing edges uniformly; it lands on a new one with probability
-            // k/(d₀+k) (the reservoir composition of the k per-edge 1/(d₀+i) coins),
-            // each new edge being equally likely.
-            if rng.gen_bool(k as f64 / (prior_degree + k) as f64) {
-                let target = walker::pick_new_target(&mut rng, targets);
-                reroute_at = Some((pos, target));
-                break;
-            }
-        } else if prior_degree == 0 {
-            // The segment ended at u because u was dangling; now that u has outgoing
-            // edges the surfer would have continued with probability 1 − ε, choosing
-            // uniformly among the new edges.
-            if rng.gen_bool(1.0 - config.epsilon) {
-                let target = walker::pick_new_target(&mut rng, targets);
-                reroute_at = Some((pos, target));
-                break;
-            }
-        }
-        // A final visit to a non-dangling u ended with an ε-reset, which the new
-        // edges do not affect.
-    }
+    // Where the segment reroutes, and (for arrivals) the new edge it takes there.
+    let (pos, forced) = if deletion {
+        let (pos, _) = visits.find(|&(pos, _)| {
+            path.get(pos + 1)
+                .is_some_and(|next| group.targets.binary_search(next).is_ok())
+        })?;
+        (pos, None)
+    } else {
+        let k = group.targets.len();
+        let last_index = path.len().checked_sub(1)?;
+        visits.find_map(|(pos, _)| {
+            let p = if pos < last_index {
+                k as f64 / (group.prior_degree + k) as f64
+            } else if group.prior_degree == 0 {
+                if group.forward {
+                    1.0 - config.epsilon
+                } else {
+                    1.0
+                }
+            } else {
+                return None;
+            };
+            rng.gen_bool(p)
+                .then(|| (pos, Some(walker::pick_new_target(&mut rng, &group.targets))))
+        })?
+    };
 
-    let (pos, target) = reroute_at?;
     let steps = match config.reroute {
         RerouteStrategy::FromUpdatePoint => {
             scratch.clear();
             scratch.extend_from_slice(&path[..=pos]);
-            let mut steps = 0u64;
-            if scratch.len() < config.max_segment_length {
-                scratch.push(target);
-                steps += 1;
-                steps += walker::extend_pagerank_walk(
-                    graph,
-                    scratch,
-                    config.epsilon,
-                    config.max_segment_length,
-                    &mut rng,
-                );
+            let next = forced.or_else(|| {
+                if group.forward {
+                    graph.random_out_neighbor(group.pivot, &mut rng)
+                } else {
+                    graph.random_in_neighbor(group.pivot, &mut rng)
+                }
+            });
+            match next {
+                Some(next) if scratch.len() < config.max_segment_length => {
+                    scratch.push(next);
+                    1 + K::extend(
+                        graph,
+                        scratch,
+                        K::forward_at(slot, config.r, pos + 1),
+                        config.epsilon,
+                        config.max_segment_length,
+                        &mut rng,
+                    )
+                }
+                _ => 0,
             }
-            steps
         }
-        RerouteStrategy::FromSource => walker::pagerank_segment_into(
-            graph,
-            walks.source_of(id),
-            config.epsilon,
-            config.max_segment_length,
-            &mut rng,
-            scratch,
-        ),
+        RerouteStrategy::FromSource => {
+            generate_segment::<K>(graph, config, walks.source_of(id), slot, &mut rng, scratch)
+        }
     };
     Some((pos, steps))
 }
@@ -958,6 +908,42 @@ mod tests {
     }
 
     #[test]
+    fn deletion_repair_does_not_flip_the_reset_coin_twice() {
+        // u -> a, u -> b, a -> u, b -> u: u is never dangling, so exactly an ε share of
+        // u's segments stop at u.  Deleting u -> a repairs the segments that took it
+        // at their first step; the surfer there had already decided not to reset, so
+        // the repaired share must stay ε — a second coin would make it
+        // ε + (1 − ε)·½·ε = 0.28 — and match a fresh build on the post-deletion graph.
+        let (u, a, b) = (0u32, 1u32, 2u32);
+        let mut graph = DynamicGraph::with_nodes(3);
+        for (s, t) in [(u, a), (u, b), (a, u), (b, u)] {
+            graph.add_edge(Edge::new(s, t));
+        }
+        let r = 20_000;
+        let stop_share = |engine: &IncrementalPageRank| {
+            let stopped = engine
+                .walk_store()
+                .segment_ids_of(NodeId(u))
+                .filter(|&id| engine.walk_store().segment_len(id) == 1)
+                .count();
+            stopped as f64 / r as f64
+        };
+        let (mut repaired, mut fresh) = (0.0, 0.0);
+        for seed in 0..3 {
+            let mut engine = IncrementalPageRank::from_graph(&graph, config(r, seed));
+            engine.remove_edge(Edge::new(u, a)).expect("edge exists");
+            engine.validate_segments().unwrap();
+            repaired += stop_share(&engine) / 3.0;
+            let rebuilt = IncrementalPageRank::from_graph(engine.graph(), config(r, seed + 10));
+            fresh += stop_share(&rebuilt) / 3.0;
+        }
+        assert!(
+            (repaired - fresh).abs() < 0.03 && (repaired - 0.2).abs() < 0.03,
+            "repaired stop share {repaired:.4} vs fresh {fresh:.4} (exact 0.2)"
+        );
+    }
+
+    #[test]
     fn removing_a_missing_edge_is_a_no_op() {
         let mut engine = IncrementalPageRank::from_graph(directed_cycle(4), config(2, 1));
         assert!(engine.remove_edge(Edge::new(0, 2)).is_none());
@@ -1047,7 +1033,17 @@ mod tests {
             let sb = b.apply_arrivals(std::slice::from_ref(&edge));
             assert_eq!(sa, sb, "edge {i}: stats must match");
         }
+        // remove_edge is a batch of one too: remove_edge(e) ≡ apply_deletions(&[e]).
+        for (i, edge) in [Edge::new(0, 1), Edge::new(3, 9), Edge::new(7, 8)]
+            .into_iter()
+            .enumerate()
+        {
+            let sa = a.remove_edge(edge).expect("edge exists");
+            let sb = b.apply_deletions(std::slice::from_ref(&edge));
+            assert_eq!(sa, sb, "deletion {i}: stats must match");
+        }
         assert_eq!(a.scores(), b.scores());
+        assert_eq!(a.work(), b.work());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!    only `O(nR ln m / ε²)` total work over `m` arrivals (Theorem 4), and deletions cost
 //!    `O(nR/(m ε²))` each (Proposition 5) — [`incremental`];
 //! 3. the same machinery extends to SALSA with a constant-factor overhead (Theorem 6) —
-//!    [`salsa`];
+//!    [`salsa`]: one [`WalkEngine`] maintains both, parameterised by a [`WalkKind`]
+//!    ([`kind`]) that fixes the segment shape;
 //! 4. the cached segments can be stitched into long personalized walks that find the
 //!    top-k personalized PageRank nodes with `O(k / R^{(1−α)/α})` fetches against the
 //!    social store under a power-law score model (Theorem 8, Corollary 9) —
@@ -27,6 +28,7 @@ pub mod config;
 pub mod durable;
 pub mod estimator;
 pub mod incremental;
+pub mod kind;
 pub mod personalized;
 pub mod query;
 pub mod salsa;
@@ -37,7 +39,8 @@ pub use batch::BatchProfile;
 pub use config::{MonteCarloConfig, RerouteStrategy};
 pub use durable::{DurabilityOptions, DurablePageRank, PersistError, PersistResult};
 pub use estimator::PageRankEstimates;
-pub use incremental::{IncrementalPageRank, UpdateStats};
+pub use incremental::{IncrementalPageRank, UpdateStats, WalkEngine};
+pub use kind::{EngineKind, PageRankWalk, SalsaWalk, WalkKind};
 pub use personalized::{PersonalizedWalkResult, PersonalizedWalker, TopKScratch, WalkScratch};
 pub use ppr_persist::GroupCommit;
 pub use query::{query_rng, query_stream_seed};

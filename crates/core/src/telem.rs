@@ -1,16 +1,16 @@
-//! Telemetry adapters for the incremental engines.
+//! Telemetry adapters for the incremental engine.
 //!
 //! [`MetricSource`] impls for this crate's stats structs, plus an
-//! `emit_telemetry` method on each engine that folds *every* layer the engine
-//! owns — Social Store access counts, cumulative update work, batch wall-time
-//! profile, the walk store's own counters (arena; plus pager / residency /
-//! on-disk compaction for [`ppr_persist::DiskWalkStore`]), and the attached
-//! WAL — into one snapshot builder.  This is what lets a single
+//! `emit_telemetry` method on the engine (either walk kind) that folds *every*
+//! layer the engine owns — Social Store access counts, cumulative update work,
+//! batch wall-time profile, the walk store's own counters (arena; plus pager /
+//! residency / on-disk compaction for [`ppr_persist::DiskWalkStore`]), and the
+//! attached WAL — into one snapshot builder.  This is what lets a single
 //! `TelemetrySnapshot` see the whole stack.
 
 use crate::batch::BatchProfile;
-use crate::incremental::{IncrementalPageRank, UpdateStats};
-use crate::salsa::IncrementalSalsa;
+use crate::incremental::{UpdateStats, WalkEngine};
+use crate::kind::WalkKind;
 use ppr_store::index::WalkIndexMut;
 use ppr_telemetry::{MetricSource, SnapshotBuilder};
 
@@ -39,7 +39,7 @@ impl MetricSource for UpdateStats {
     }
 }
 
-impl<W: WalkIndexMut> IncrementalPageRank<W> {
+impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// Emits every observability layer this engine owns into `out`: Social
     /// Store access metrics (`store.*`), cumulative update work (`work.*`),
     /// the batch wall-time profile (`batch.*`), the walk store's counters
@@ -57,24 +57,11 @@ impl<W: WalkIndexMut> IncrementalPageRank<W> {
     }
 }
 
-impl<W: WalkIndexMut> IncrementalSalsa<W> {
-    /// Emits every observability layer this engine owns into `out`; see
-    /// [`IncrementalPageRank::emit_telemetry`] — the layout is identical.
-    pub fn emit_telemetry(&self, out: &mut SnapshotBuilder) {
-        out.source("store", &self.store.metrics());
-        out.source("work", &self.work);
-        out.source("batch", &self.profile);
-        self.walks.emit_telemetry(out);
-        if let Some(log) = &self.durability {
-            out.source("wal", &log.wal_stats());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MonteCarloConfig;
+    use crate::{IncrementalPageRank, IncrementalSalsa};
     use ppr_graph::{DynamicGraph, Edge};
     use ppr_telemetry::TelemetrySnapshot;
 

@@ -34,27 +34,11 @@ pub fn pagerank_segment<R: Rng + ?Sized>(
     max_length: usize,
     rng: &mut R,
 ) -> GeneratedWalk {
-    let mut path = Vec::with_capacity((2.0 / epsilon) as usize);
-    let steps = pagerank_segment_into(graph, start, epsilon, max_length, rng, &mut path);
-    GeneratedWalk { path, steps }
-}
-
-/// Allocation-free variant of [`pagerank_segment`]: generates the walk into `buf`
-/// (cleared first) and returns the number of steps taken.  The engines' reroute paths
-/// reuse one scratch buffer across repairs so that steady-state maintenance performs no
-/// per-segment heap allocation.
-pub fn pagerank_segment_into<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
-    start: NodeId,
-    epsilon: f64,
-    max_length: usize,
-    rng: &mut R,
-    buf: &mut Vec<NodeId>,
-) -> u64 {
     debug_assert!(max_length >= 1);
-    buf.clear();
-    buf.push(start);
-    extend_pagerank_walk(graph, buf, epsilon, max_length, rng)
+    let mut path = Vec::with_capacity((2.0 / epsilon) as usize);
+    path.push(start);
+    let steps = extend_pagerank_walk(graph, &mut path, epsilon, max_length, rng);
+    GeneratedWalk { path, steps }
 }
 
 /// Continues a PageRank walk whose current node is `path.last()`, pushing newly visited
@@ -99,34 +83,11 @@ pub fn salsa_segment<R: Rng + ?Sized>(
     max_length: usize,
     rng: &mut R,
 ) -> GeneratedWalk {
-    let mut path = Vec::with_capacity((4.0 / epsilon) as usize);
-    let steps = salsa_segment_into(
-        graph,
-        start,
-        start_forward,
-        epsilon,
-        max_length,
-        rng,
-        &mut path,
-    );
-    GeneratedWalk { path, steps }
-}
-
-/// Allocation-free variant of [`salsa_segment`]: generates the walk into `buf` (cleared
-/// first) and returns the number of steps taken.
-pub fn salsa_segment_into<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
-    start: NodeId,
-    start_forward: bool,
-    epsilon: f64,
-    max_length: usize,
-    rng: &mut R,
-    buf: &mut Vec<NodeId>,
-) -> u64 {
     debug_assert!(max_length >= 1);
-    buf.clear();
-    buf.push(start);
-    extend_salsa_walk(graph, buf, start_forward, epsilon, max_length, rng)
+    let mut path = Vec::with_capacity((4.0 / epsilon) as usize);
+    path.push(start);
+    let steps = extend_salsa_walk(graph, &mut path, start_forward, epsilon, max_length, rng);
+    GeneratedWalk { path, steps }
 }
 
 /// Continues an alternating SALSA walk whose current node is `path.last()`, where

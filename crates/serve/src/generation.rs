@@ -18,22 +18,12 @@ use crate::cache::FetchCache;
 use crate::telem::QuerySpans;
 use ppr_core::query::query_rng;
 use ppr_core::salsa::{personalized_authorities_on, salsa_estimates_from, top_k_scores};
-use ppr_core::PersonalizedWalker;
+use ppr_core::{EngineKind, PersonalizedWalker};
 use ppr_graph::{GraphView, NodeId};
 use ppr_store::{FrozenGraph, FrozenWalks, WalkIndexView};
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Which engine family a generation snapshots — decides how its walk segments are
-/// interpreted (plain PageRank segments vs `2R` alternating SALSA segments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// `R` PageRank walk segments per node: personalized top-k and global rank.
-    PageRank,
-    /// `2R` alternating SALSA segments per node: hub/authority queries.
-    Salsa,
-}
 
 /// One committed, immutable state of the serving engine.
 #[derive(Debug)]

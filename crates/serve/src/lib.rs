@@ -45,8 +45,9 @@ pub use cache::{FetchCache, FetchCacheStats};
 pub use engine::{
     CommitStats, MirrorOp, OpsRecorder, QueryEngine, ServeEngine, ServeHandle, WriteOp,
 };
-pub use generation::{Answer, EngineKind, Generation, PinnedView, Query, Served};
+pub use generation::{Answer, Generation, PinnedView, Query, Served};
 pub use pool::ReaderPool;
+pub use ppr_core::EngineKind;
 
 #[cfg(test)]
 mod tests {

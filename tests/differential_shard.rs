@@ -182,9 +182,26 @@ fn sharded_salsa_is_byte_identical_to_single_shard() {
             let sb = sharded.apply_arrivals(batch);
             assert_eq!(sa, sb, "batch {bi} stats ({threads} threads)");
         }
-        for &edge in &deletions {
+        // Deletions: singletons through remove_edge, then batches (one repeating an
+        // already-deleted edge) through the sharded apply_deletions pipeline.
+        let (singles, batched) = deletions.split_at(deletions.len() / 2);
+        for &edge in singles {
             assert_eq!(flat.remove_edge(edge), sharded.remove_edge(edge));
         }
+        let mut deletion_batches: Vec<Vec<Edge>> =
+            batched.chunks(7).map(<[Edge]>::to_vec).collect();
+        deletion_batches[0].push(singles[0]);
+        for (di, batch) in deletion_batches.iter().enumerate() {
+            let sa = flat.apply_deletions(batch);
+            let sb = sharded.apply_deletions(batch);
+            assert_eq!(sa, sb, "deletion batch {di} stats ({threads} threads)");
+            assert_stores_identical(
+                flat.walk_store(),
+                sharded.walk_store(),
+                &format!("salsa deletion batch {di} ({threads} threads)"),
+            );
+        }
+        assert_eq!(flat.work(), sharded.work(), "salsa work counters");
         assert_stores_identical(
             flat.walk_store(),
             sharded.walk_store(),

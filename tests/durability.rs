@@ -495,8 +495,9 @@ fn salsa_engine_survives_crash_recovery() {
         reference.apply_arrivals(chunk);
     }
     let victims: Vec<Edge> = edges.iter().copied().step_by(9).take(20).collect();
-    for &edge in &victims {
-        reference.remove_edge(edge);
+    let deletion_batches: Vec<&[Edge]> = victims.chunks(6).collect();
+    for batch in &deletion_batches {
+        reference.apply_deletions(batch);
     }
 
     let tmp = TempDir::new("salsa-restart");
@@ -512,16 +513,17 @@ fn salsa_engine_survives_crash_recovery() {
     for chunk in &chunks[checkpoint_after..] {
         engine.apply_arrivals(chunk);
     }
-    // Crash mid-deletion-stream: SALSA deletions consume the engine's sequential
-    // RNG, whose state travels in the snapshot — replay must resume it exactly.
-    for &edge in &victims[..victims.len() / 2] {
-        engine.remove_edge(edge);
-    }
+    // Crash mid-deletion-stream, with a checkpoint between two deletion batches:
+    // recovery replays the logged deletion batch through the batched pipeline, and
+    // the resumed stream continues on the same split RNG streams.
+    engine.apply_deletions(deletion_batches[0]);
+    engine.checkpoint().unwrap();
+    engine.apply_deletions(deletion_batches[1]);
     drop(engine);
 
     let mut recovered = IncrementalSalsa::<WalkStore>::open(&root).expect("salsa recovery");
-    for &edge in &victims[victims.len() / 2..] {
-        recovered.remove_edge(edge);
+    for batch in &deletion_batches[2..] {
+        recovered.apply_deletions(batch);
     }
     assert_stores_identical(recovered.walk_store(), reference.walk_store(), "salsa");
     let ea = recovered.estimates();
